@@ -22,6 +22,7 @@
 
 #include "figure_common.hpp"
 #include "core/delivery.hpp"
+#include "core/health.hpp"
 #include "core/metrics.hpp"
 #include "des/flow_sim.hpp"
 #include "fault/fault_plan.hpp"
@@ -59,8 +60,8 @@ std::size_t check_single_server_crashes(const model::ProblemInstance& instance,
           if (!strategy.collaborative_delivery && host != serving) continue;
           hosts.push_back(host);
         }
-        const core::FailoverDecision decision = core::resolve_with_failover(
-            instance, hosts, serving, instance.data(k).size_mb, up);
+        const core::FailoverDecision decision = core::resolve_with_health(
+            instance, hosts, serving, instance.data(k).size_mb, nullptr, up);
         IDDE_ASSERT(decision.seconds >= 0.0 &&
                         decision.seconds < fault::kNeverChanges,
                     "request failed to resolve under a single-server crash");

@@ -9,7 +9,7 @@
 // minimised over e in 0..min(k, survivors), with strict `<` so the
 // smallest e wins ties (the cloud-leaning order replication uses). At
 // k = 1 the only choices are "cheapest surviving replica" vs "whole item
-// from the cloud" — exactly core::resolve_with_failover's argmin,
+// from the cloud" — exactly core::resolve_with_health's argmin,
 // reproduced bit-identically (same leg costs, same tie-breaks, same
 // FallbackTier labels).
 #pragma once
@@ -48,7 +48,7 @@ class CodedResolver {
   /// Resolves the request of a user served by `serving` for an item of
   /// `item_size_mb` split into `config.k`-of-n fragments of
   /// `fragment_mb`, hosted on `hosts`. Mirrors
-  /// core::resolve_with_failover: `server_up` masks dead servers (empty =
+  /// core::resolve_with_health: `server_up` masks dead servers (empty =
   /// all up), `degraded_costs` replaces the fault-free cost matrix, and
   /// `fault_free_hosts`, when non-empty, is the unfiltered host set the
   /// fault-free reference choice classifies tiers against.

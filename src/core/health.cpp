@@ -73,17 +73,19 @@ void HealthTracker::restore_state(std::vector<ServerHealth> state) {
 
 namespace {
 
-/// Health-weighted Eq. 8 argmin: scan order, cloud cap and tie-breaks
-/// match delivery.cpp's argmin_source exactly; only the comparison key is
-/// divided by the host score. Division by the fresh-tracker score of 1.0
-/// is bit-exact, so no-evidence runs reproduce the unweighted argmin.
-std::size_t argmin_source_weighted(const model::ProblemInstance& instance,
-                                   std::span<const std::size_t> hosts,
-                                   std::size_t serving, double size_mb,
-                                   std::span<const std::uint8_t> server_up,
-                                   const net::CostMatrix* costs,
-                                   const HealthTracker* health,
-                                   double& best_raw_seconds) {
+/// Eq. 8 argmin over `hosts` with the cloud as the cap. Returns
+/// kCloudSource when the cloud (or nothing) wins. Ties break to the lowest
+/// host id, then to the edge over the cloud. With a health tracker the
+/// comparison key is seconds / score(host); division by the fresh-tracker
+/// score of 1.0 is bit-exact, so no-evidence runs reproduce the
+/// unweighted argmin. `best_raw_seconds` gets the unweighted seconds.
+std::size_t argmin_source(const model::ProblemInstance& instance,
+                          std::span<const std::size_t> hosts,
+                          std::size_t serving, double size_mb,
+                          std::span<const std::uint8_t> server_up,
+                          const net::CostMatrix* costs,
+                          const HealthTracker* health,
+                          double& best_raw_seconds) {
   const auto& latency = instance.latency();
   std::size_t source = kCloudSource;
   best_raw_seconds = latency.cloud_transfer_seconds(size_mb);
@@ -105,6 +107,7 @@ std::size_t argmin_source_weighted(const model::ProblemInstance& instance,
   return source;
 }
 
+/// Per-request resolution telemetry (Eq. 8 tiers + latency distribution).
 void note_resolution(const FailoverDecision& decision) {
   switch (decision.tier) {
     case FallbackTier::kPrimary:
@@ -134,32 +137,36 @@ FailoverDecision resolve_with_health(
   const bool serving_dead = serving != ChannelSlot::kNone &&
                             !server_up.empty() && !server_up[serving];
   if (serving == ChannelSlot::kNone || serving_dead) {
-    // Same cloud-direct short-circuit as resolve_with_failover: health
-    // cannot resurrect a dead or channel-less path.
+    // Cloud-only user (no radio channel) or the user's own server died:
+    // nothing can relay an edge replica, so the cloud serves directly.
     decision.source = kCloudSource;
     decision.seconds = instance.latency().cloud_transfer_seconds(size_mb);
     double fault_free = 0.0;
     const std::size_t fault_free_source =
         serving == ChannelSlot::kNone
             ? kCloudSource
-            : argmin_source_weighted(instance, reference, serving, size_mb, {},
-                                     nullptr, nullptr, fault_free);
+            : argmin_source(instance, reference, serving, size_mb, {},
+                            nullptr, nullptr, fault_free);
     decision.tier = fault_free_source == kCloudSource ? FallbackTier::kPrimary
                                                       : FallbackTier::kCloud;
     note_resolution(decision);
     return decision;
   }
 
-  // Tier reference stays the fault-free, health-blind argmin: a request
-  // steered off its primary by a bad health score is reported as kReplica
-  // (a health fallback), not relabelled kPrimary.
-  double fault_free_seconds = 0.0;
-  const std::size_t fault_free_source =
-      argmin_source_weighted(instance, reference, serving, size_mb, {}, nullptr,
-                             nullptr, fault_free_seconds);
   decision.source =
-      argmin_source_weighted(instance, hosts, serving, size_mb, server_up,
-                             degraded_costs, health, decision.seconds);
+      argmin_source(instance, hosts, serving, size_mb, server_up,
+                    degraded_costs, health, decision.seconds);
+  // Tier reference: the fault-free, health-blind argmin over the
+  // unfiltered hosts. A request steered off its primary by a bad health
+  // score is reported as kReplica (a health fallback), not relabelled
+  // kPrimary. With nothing degraded the reference is the decision itself.
+  std::size_t fault_free_source = decision.source;
+  if (!fault_free_hosts.empty() || !server_up.empty() ||
+      degraded_costs != nullptr || health != nullptr) {
+    double fault_free_seconds = 0.0;
+    fault_free_source = argmin_source(instance, reference, serving, size_mb,
+                                      {}, nullptr, nullptr, fault_free_seconds);
+  }
   if (decision.source == fault_free_source) {
     decision.tier = FallbackTier::kPrimary;
   } else if (decision.source == kCloudSource) {

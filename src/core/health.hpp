@@ -15,9 +15,9 @@
 // legs) and is only readmitted above `recover_score`, so a score hovering
 // at the threshold cannot flap the routing decision every leg.
 //
-// resolve_with_health() is the health-aware Eq. 8: identical scan order to
-// resolve_with_failover, but each edge candidate's seconds are divided by
-// its score — a gray server must beat healthy alternatives by its own
+// resolve_with_health() is the degraded Eq. 8 resolver every replication
+// layer shares. Given a tracker, each edge candidate's seconds are divided
+// by its score — a gray server must beat healthy alternatives by its own
 // slowdown factor to win. With a fresh tracker every score is exactly 1.0
 // and the weighted argmin reduces to the plain one bit-identically (same
 // comparisons, same ties) — the zero-cost-when-disabled contract.
@@ -91,13 +91,27 @@ class HealthTracker {
   std::vector<ServerHealth> state_;
 };
 
-/// Health-aware degraded Eq. 8: same contract and scan order as
-/// resolve_with_failover, but edge candidates are priced at
-/// seconds / score(host), so gray servers are demoted before they are
-/// formally down. The returned `seconds` is the UNWEIGHTED latency of the
-/// chosen source (the score shapes the choice, not the physics). With a
-/// null or fresh tracker the decision is bit-identical to
-/// resolve_with_failover.
+/// Degraded-mode Eq. 8, the one replication resolver: resolves the request
+/// of a user served by `serving` for an item of `size_mb` hosted on
+/// `hosts`, falling through the surviving-replica preference order and
+/// finally the cloud.
+///
+/// `server_up` masks dead servers (empty = everything up);
+/// `degraded_costs`, when non-null, replaces the fault-free cost matrix
+/// (routes over the degraded graph; unreachable pairs are infinite). With
+/// every server up and no degraded costs the decision is the fault-free
+/// Eq. 8 argmin and the tier is always kPrimary.
+///
+/// `health`, when non-null, prices edge candidates at seconds / score(host)
+/// so gray servers are demoted before they are formally down; the returned
+/// `seconds` stays the UNWEIGHTED latency of the chosen source. A null or
+/// fresh tracker gives the plain argmin bit for bit.
+///
+/// `fault_free_hosts`, when non-empty, is the host set the *fault-free*
+/// reference argmin classifies tiers against. Callers that pre-filter
+/// `hosts` (e.g. dropping corrupt replicas, which the per-server mask
+/// cannot express) pass the unfiltered set here so a lost primary is
+/// still reported as a fallback rather than silently relabelled kPrimary.
 [[nodiscard]] FailoverDecision resolve_with_health(
     const model::ProblemInstance& instance, std::span<const std::size_t> hosts,
     std::size_t serving, double size_mb, const HealthTracker* health,

@@ -92,7 +92,7 @@ class FaultPlan {
   // Point queries. Entities without scheduled downtime are always up.
   [[nodiscard]] bool server_up(std::size_t server, double t) const;
   /// Fills `mask` (resized to `server_count`) with 1/0 per server at time
-  /// `t` — the degraded-world input of core::resolve_with_failover and
+  /// `t` — the degraded-world input of core::resolve_with_health and
   /// core::RepairPlanner. Allocation-free once `mask` has capacity.
   void server_up_mask(std::size_t server_count, double t,
                       std::vector<std::uint8_t>& mask) const;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/delivery.hpp"
+#include "core/health.hpp"
 #include "core/metrics.hpp"
 #include "core/repair_planner.hpp"
 #include "util/assert.hpp"
@@ -140,9 +141,9 @@ ResilienceReport evaluate_resilience(const model::ProblemInstance& instance,
           if (!strategy.collaborative_delivery && host != serving) continue;
           reference_hosts.push_back(host);
         }
-        const core::FailoverDecision decision = core::resolve_with_failover(
+        const core::FailoverDecision decision = core::resolve_with_health(
             instance, degraded_hosts, serving, instance.data(k).size_mb,
-            snap.server_up, &snap.costs, reference_hosts);
+            nullptr, snap.server_up, &snap.costs, reference_hosts);
         weighted_seconds += weight * decision.seconds;
         tier_weight[static_cast<std::size_t>(decision.tier)] += weight;
       }

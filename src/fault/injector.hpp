@@ -86,7 +86,7 @@ struct ResilienceReport {
 };
 
 /// Evaluates a solved strategy against a fault plan: for every epoch,
-/// every request is resolved through core::resolve_with_failover over the
+/// every request is resolved through core::resolve_with_health over the
 /// epoch's surviving replicas (optionally re-healed by RepairPolicy) and
 /// the results are weighted by epoch length over [0, horizon). An inert
 /// plan short-circuits to the fault-free metrics exactly.

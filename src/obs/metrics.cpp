@@ -47,11 +47,14 @@ void atomic_fold(std::atomic<double>& target, double v, Op op) noexcept {
 
 void Histogram::record(double value) noexcept {
   if (std::isnan(value)) return;
-  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  // Fold the sample in before publishing the new count: a reader that
+  // acquires count n sees the bucket, sum, min and max of all n samples,
+  // so a non-empty snapshot never shows the empty sentinels.
   atomic_fold(sum_, value, [](double a, double b) { return a + b; });
   atomic_fold(min_, value, [](double a, double b) { return std::min(a, b); });
   atomic_fold(max_, value, [](double a, double b) { return std::max(a, b); });
+  buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_release);
 }
 
 std::size_t Histogram::bucket_index(double value) noexcept {
@@ -99,10 +102,11 @@ std::pair<double, double> Histogram::bucket_range(double value) noexcept {
 
 double Histogram::percentile(double p) const {
   IDDE_EXPECTS(p >= 0.0 && p <= 100.0);
-  const std::uint64_t n = count_.load(std::memory_order_relaxed);
+  const std::uint64_t n = count_.load(std::memory_order_acquire);
   if (n == 0) return 0.0;
   const double lo = min_.load(std::memory_order_relaxed);
   const double hi = max_.load(std::memory_order_relaxed);
+  if (!(lo <= hi)) return 0.0;  // torn by a concurrent reset(): empty
   if (p == 0.0) return lo;
   if (p == 100.0) return hi;
   auto rank = static_cast<std::uint64_t>(
@@ -122,10 +126,16 @@ double Histogram::percentile(double p) const {
 
 HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  if (snap.count == 0) return snap;
-  snap.min = min_.load(std::memory_order_relaxed);
-  snap.max = max_.load(std::memory_order_relaxed);
+  const std::uint64_t count = count_.load(std::memory_order_acquire);
+  if (count == 0) return snap;
+  const double lo = min_.load(std::memory_order_relaxed);
+  const double hi = max_.load(std::memory_order_relaxed);
+  // Only a reset() racing this read can leave the sentinels behind a
+  // published count; report the histogram as the empty one it becomes.
+  if (!(lo <= hi)) return snap;
+  snap.count = count;
+  snap.min = lo;
+  snap.max = hi;
   snap.sum = sum_.load(std::memory_order_relaxed);
   snap.mean = snap.sum / static_cast<double>(snap.count);
   snap.p50 = percentile(50.0);

@@ -121,7 +121,7 @@ class Histogram {
   [[nodiscard]] double percentile(double p) const;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    return count_.load(std::memory_order_acquire);
   }
 
   void reset() noexcept;

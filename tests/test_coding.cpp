@@ -21,6 +21,7 @@
 #include "coding/coded_resolver.hpp"
 #include "coding/fragment.hpp"
 #include "core/delivery.hpp"
+#include "core/health.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/repair_planner.hpp"
@@ -240,7 +241,7 @@ TEST(CodedPlanner, K2SaturatesWithinCapsAndBeatsEmptySigma) {
                                                 empty));
 }
 
-// The coded resolver at k = 1 is core::resolve_with_failover: same
+// The coded resolver at k = 1 is core::resolve_with_health: same
 // seconds (bitwise), same fallback tier, cloud iff cloud, under random
 // server-up masks.
 TEST(CodedResolver, K1MatchesResolveWithFailoverUnderRandomMasks) {
@@ -259,7 +260,8 @@ TEST(CodedResolver, K1MatchesResolveWithFailoverUnderRandomMasks) {
         const double size = inst.data(k).size_mb;
         const auto hosts = strategy.delivery.hosts(k);
         const core::FailoverDecision expected =
-            core::resolve_with_failover(inst, hosts, serving, size, up);
+            core::resolve_with_health(inst, hosts, serving, size, nullptr,
+                                      up);
         const coding::CodedDecision got =
             resolver.resolve(hosts, serving, size, size, 1, up);
         EXPECT_EQ(got.seconds, expected.seconds);

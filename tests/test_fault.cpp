@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/delivery.hpp"
+#include "core/health.hpp"
 #include "core/greedy_delivery.hpp"
 #include "core/idde_g.hpp"
 #include "core/metrics.hpp"
@@ -251,8 +252,8 @@ TEST(Failover, AllUpReproducesEq8AndPrimaryTier) {
         slot.allocated() ? slot.server : core::ChannelSlot::kNone;
     for (const std::size_t k : inst.requests().items_of(j)) {
       const double size = inst.data(k).size_mb;
-      const auto decision = core::resolve_with_failover(
-          inst, s.strategy.delivery.hosts(k), serving, size);
+      const auto decision = core::resolve_with_health(
+          inst, s.strategy.delivery.hosts(k), serving, size, nullptr);
       EXPECT_EQ(decision.tier, core::FallbackTier::kPrimary);
       const double expected =
           slot.allocated()
@@ -275,7 +276,7 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       const double size = inst.data(k).size_mb;
       const auto hosts = s.strategy.delivery.hosts(k);
       const auto fault_free =
-          core::resolve_with_failover(inst, hosts, slot.server, size);
+          core::resolve_with_health(inst, hosts, slot.server, size, nullptr);
       if (fault_free.source == core::kCloudSource) continue;
 
       // Kill the fault-free source: the request must still resolve, at a
@@ -283,7 +284,8 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       std::vector<std::uint8_t> up(inst.server_count(), 1);
       up[fault_free.source] = 0;
       const auto degraded =
-          core::resolve_with_failover(inst, hosts, slot.server, size, up);
+          core::resolve_with_health(inst, hosts, slot.server, size, nullptr,
+                                    up);
       if (slot.server == fault_free.source) {
         // The user's own server died: cloud-direct.
         EXPECT_EQ(degraded.source, core::kCloudSource);
@@ -297,7 +299,8 @@ TEST(Failover, DeadPrimaryFallsThroughTheTiers) {
       // Kill every server: only the cloud remains.
       std::vector<std::uint8_t> none(inst.server_count(), 0);
       const auto cloud_only =
-          core::resolve_with_failover(inst, hosts, slot.server, size, none);
+          core::resolve_with_health(inst, hosts, slot.server, size, nullptr,
+                                    none);
       EXPECT_EQ(cloud_only.source, core::kCloudSource);
       EXPECT_DOUBLE_EQ(cloud_only.seconds,
                        inst.latency().cloud_transfer_seconds(size));
@@ -317,7 +320,7 @@ TEST(Failover, PreFilteredHostsClassifyAgainstReference) {
       const double size = inst.data(k).size_mb;
       const auto hosts = s.strategy.delivery.hosts(k);
       const auto fault_free =
-          core::resolve_with_failover(inst, hosts, slot.server, size);
+          core::resolve_with_health(inst, hosts, slot.server, size, nullptr);
       if (fault_free.source == core::kCloudSource) continue;
       // Drop the primary from the degraded set (a corrupt replica) while
       // passing the full set as the tier reference: the fallback must not
@@ -326,8 +329,8 @@ TEST(Failover, PreFilteredHostsClassifyAgainstReference) {
       for (const std::size_t host : hosts) {
         if (host != fault_free.source) filtered.push_back(host);
       }
-      const auto degraded = core::resolve_with_failover(
-          inst, filtered, slot.server, size, {}, nullptr, hosts);
+      const auto degraded = core::resolve_with_health(
+          inst, filtered, slot.server, size, nullptr, {}, nullptr, hosts);
       EXPECT_NE(degraded.tier, core::FallbackTier::kPrimary);
       return;
     }
@@ -474,9 +477,9 @@ TEST(Resilience, SingleServerCrashNeverAbortsARun) {
       const std::size_t serving =
           slot.allocated() ? slot.server : core::ChannelSlot::kNone;
       for (const std::size_t k : inst.requests().items_of(j)) {
-        const auto decision = core::resolve_with_failover(
+        const auto decision = core::resolve_with_health(
             inst, s.strategy.delivery.hosts(k), serving,
-            inst.data(k).size_mb, up);
+            inst.data(k).size_mb, nullptr, up);
         EXPECT_GE(decision.seconds, 0.0);
         EXPECT_LT(decision.seconds, fault::kNeverChanges);
       }

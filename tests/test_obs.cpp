@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/delivery.hpp"
+#include "core/health.hpp"
 #include "core/game.hpp"
 #include "core/idde_g.hpp"
 #include "des/flow_sim.hpp"
@@ -399,8 +400,8 @@ TEST_F(ObsTest, FailoverResolutionCountsTiers) {
         if (!strategy.collaborative_delivery && host != serving) continue;
         hosts.push_back(host);
       }
-      (void)core::resolve_with_failover(instance, hosts, serving,
-                                        instance.data(k).size_mb, up);
+      (void)core::resolve_with_health(instance, hosts, serving,
+                                      instance.data(k).size_mb, nullptr, up);
       ++resolutions;
     }
   }
