@@ -57,17 +57,6 @@ class CostMatrix {
 /// oracle against the Dijkstra-based CostMatrix.
 [[nodiscard]] std::vector<double> floyd_warshall(const Graph& graph);
 
-/// Cache-blocked (tiled) Floyd–Warshall: the classic three-phase scheme
-/// that processes `block`-sized tiles so the k-loop's working set stays in
-/// L1/L2 instead of streaming the full n*n matrix n times. Same asymptotic
-/// O(n^3) but a large constant-factor win on dense graphs once n*n*8 bytes
-/// outgrows cache. Path sums associate per tile rather than per scalar k,
-/// so results can differ from floyd_warshall() in the last ulps (not in
-/// reachability); tests compare with a tolerance, and the bit-exact
-/// Dijkstra build remains the production CostMatrix path.
-[[nodiscard]] std::vector<double> floyd_warshall_blocked(
-    const Graph& graph, std::size_t block = 64);
-
 /// An explicit route: the node sequence of a cheapest path.
 struct Route {
   double cost = kUnreachable;       ///< seconds-per-MB along the path
