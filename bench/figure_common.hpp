@@ -6,8 +6,6 @@
 //   IDDE_REPS          repetitions per sweep point (default 5; paper: 50)
 //   IDDE_IP_BUDGET_MS  IDDE-IP anytime budget in ms (default 200; the paper
 //                      capped CPLEX at 100 s of search)
-//   IDDE_GAME_THREADS  GameOptions::threads for IDDE-G/DUP-G (default 1;
-//                      repetitions already run in parallel)
 //   IDDE_CSV_DIR       if set, also writes <figure>.csv there
 #pragma once
 
@@ -75,7 +73,6 @@ inline int run_figure_set(const sim::PaperSet& set,
   sim::SweepOptions options;
   options.repetitions = reps;
   options.ip_budget_ms = ip_budget;
-  options.game_threads = util::game_threads(1);
   options.on_point = [](const sim::PointResult& point) {
     std::fprintf(stderr, "  done %s\n", point.label.c_str());
   };

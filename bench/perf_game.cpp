@@ -1,17 +1,16 @@
 // perf_game — microbenchmark for the IDDE-U best-response engine.
 //
-// Times four engine configurations on Set-2-sized instances (N=30, K=5;
-// Set #2 tops out at M=350) under the paper's kBestImprovement rule:
-//   full         the seed engine: every user re-evaluated every round
-//                (GameOptions::incremental = false),
-//   scalar       dirty-set caching, serial, per-slot field.benefit() calls
-//                (GameOptions::batched = false) — the scalar kernel oracle,
-//   incremental  dirty-set caching, serial, batched SoA kernel,
-//   parallel     dirty-set caching + ThreadPool fan-out of the dirty set.
-// All four are required to produce bit-identical move sequences; the run
-// aborts if they diverge. Results (evaluation counts, rounds, wall time,
-// derived ratios) go to stdout and to a machine-readable JSON trajectory
-// (--out, default BENCH_game.json) for cross-PR tracking.
+// Times two configurations on Set-2-sized instances (N=30, K=5; Set #2
+// tops out at M=350) under the paper's kBestImprovement rule:
+//   full         the seed engine, kept as the test oracle
+//                (tests/oracles/game_full_scan.hpp): every user re-priced
+//                every round with per-slot field.benefit() calls,
+//   incremental  core::IddeUGame: dirty-set caching, batched SoA kernel.
+// Both must produce bit-identical move sequences; the run aborts if they
+// diverge. Results (evaluation counts, rounds, wall time, derived ratios)
+// go to stdout and to a machine-readable JSON trajectory (--out, default
+// BENCH_game.json) for cross-PR tracking. bench/perf_kernels tracks the
+// batched-over-scalar kernel speed-up on its own.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,6 +19,7 @@
 #include "core/game.hpp"
 #include "model/instance_builder.hpp"
 #include "obs/obs.hpp"
+#include "oracles/game_full_scan.hpp"
 #include "sim/paper.hpp"
 #include "util/assert.hpp"
 #include "util/cli.hpp"
@@ -37,23 +37,13 @@ struct ConfigTotals {
   double solve_ms = 0.0;
 };
 
-core::GameOptions engine_config(const std::string& name) {
-  core::GameOptions options;  // kBestImprovement: Algorithm 1 literally
-  if (name == "full") {
-    options.incremental = false;
-  } else if (name == "scalar") {
-    options.incremental = true;
-    options.threads = 1;
-    options.batched = false;  // per-slot benefit() calls, the kernel oracle
-  } else if (name == "incremental") {
-    options.incremental = true;
-    options.threads = 1;
-  } else {
-    IDDE_ASSERT(name == "parallel", "unknown engine config");
-    options.incremental = true;
-    options.threads = 0;  // hardware concurrency
-  }
-  return options;
+/// Solves `instance` with the named configuration under the default
+/// options (kBestImprovement: Algorithm 1 literally).
+core::GameResult run_config(const std::string& name,
+                            const model::ProblemInstance& instance) {
+  if (name == "full") return oracles::run_full_scan(instance);
+  IDDE_ASSERT(name == "incremental", "unknown engine config");
+  return core::IddeUGame(instance).run();
 }
 
 }  // namespace
@@ -68,8 +58,8 @@ int main(int argc, char** argv) {
   bool telemetry = false;
   std::string trace_out;
   util::CliParser cli(
-      "perf_game: serial-full vs incremental vs incremental+parallel "
-      "IDDE-U engines on a Set-2-sized instance");
+      "perf_game: full-scan oracle vs incremental IDDE-U engine on a "
+      "Set-2-sized instance");
   cli.add_size("servers", &servers, "edge servers N");
   cli.add_size("users", &users, "users M (Set #2 tops out at 350)");
   cli.add_size("data", &data, "data items K");
@@ -89,8 +79,7 @@ int main(int argc, char** argv) {
   params.user_count = users;
   params.data_count = data;
 
-  const std::vector<std::string> config_names{"full", "scalar", "incremental",
-                                              "parallel"};
+  const std::vector<std::string> config_names{"full", "incremental"};
   std::vector<ConfigTotals> totals;
   for (const std::string& name : config_names) {
     totals.push_back(ConfigTotals{name, 0, 0, 0, 0.0});
@@ -104,17 +93,16 @@ int main(int argc, char** argv) {
     core::AllocationProfile reference_allocation;
     std::size_t reference_moves = 0;
     for (std::size_t c = 0; c < config_names.size(); ++c) {
-      core::IddeUGame game(instance, engine_config(config_names[c]));
       const std::string span_name = "perf_game." + config_names[c];
       const obs::ScopedSpan span(span_name);
-      const core::GameResult result = game.run();
+      const core::GameResult result = run_config(config_names[c], instance);
       const double ms = span.elapsed_ms();
       IDDE_ASSERT(result.converged, "engine hit the round cap");
       if (c == 0) {
         reference_allocation = result.allocation;
         reference_moves = result.moves;
       } else {
-        // The caching/threading layers must not change the dynamics.
+        // The cache and the batched kernel must not change the dynamics.
         IDDE_ASSERT(result.moves == reference_moves,
                     "engine variants diverged in move count");
         IDDE_ASSERT(result.allocation == reference_allocation,
@@ -132,16 +120,12 @@ int main(int argc, char** argv) {
   }
 
   const ConfigTotals& full = totals[0];
-  const ConfigTotals& scalar = totals[1];
-  const ConfigTotals& incremental = totals[2];
-  const ConfigTotals& parallel = totals[3];
+  const ConfigTotals& incremental = totals[1];
   const auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
   const double eval_ratio =
       ratio(static_cast<double>(full.benefit_evaluations),
             static_cast<double>(incremental.benefit_evaluations));
   const double speedup_incremental = ratio(full.solve_ms, incremental.solve_ms);
-  const double speedup_parallel = ratio(full.solve_ms, parallel.solve_ms);
-  const double speedup_batched = ratio(scalar.solve_ms, incremental.solve_ms);
 
   std::printf("\n%-12s %14s %8s %8s %10s\n", "config", "evals", "moves",
               "rounds", "ms");
@@ -151,10 +135,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nincremental does %.1fx fewer benefit evaluations than the seed "
-      "engine\nwall-clock speedup: incremental %.2fx, parallel %.2fx\n"
-      "batched kernel speedup over the scalar kernel (serial dirty-set): "
-      "%.2fx\n",
-      eval_ratio, speedup_incremental, speedup_parallel, speedup_batched);
+      "engine\nwall-clock speedup: incremental %.2fx\n",
+      eval_ratio, speedup_incremental);
 
   if (!out.empty()) {
     util::JsonArray configs;
@@ -180,8 +162,6 @@ int main(int argc, char** argv) {
     doc["configs"] = std::move(configs);
     doc["eval_ratio_full_over_incremental"] = eval_ratio;
     doc["speedup_full_over_incremental"] = speedup_incremental;
-    doc["speedup_full_over_parallel"] = speedup_parallel;
-    doc["speedup_scalar_over_batched"] = speedup_batched;
     doc["telemetry"] = obs::telemetry_json();
     std::ofstream file(out);
     if (!file) {

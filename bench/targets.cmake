@@ -25,6 +25,7 @@ idde_gbench(ablation_game_rules)
 
 # Engine microbenchmarks (BENCH_*.json trajectories).
 idde_bench(perf_game)
+target_link_libraries(perf_game PRIVATE idde_game_oracle)
 idde_bench(perf_kernels)
 
 # Extension benches (paper future work).

@@ -7,12 +7,17 @@
 //                                    moves may decrease it (EXPERIMENTS.md
 //                                    discusses this known deviation).
 //  Theorem 4  (finite convergence) — observed moves per user vs the cap.
+//  Definition 3 (Nash equilibrium)  — the residual Nash gap the engine
+//                                    reports next to its frozen users; 0
+//                                    (up to epsilon) unless the move
+//                                    budget froze a cycling user.
 //  Theorem 5  (POA)                — equilibrium R_avg over optimal R_avg
 //                                    on brute-forceable micro instances;
 //                                    must lie in [R_min/R_max, 1].
 //  Theorems 6/7 (greedy quality)   — greedy latency reduction over optimal
 //                                    reduction; must exceed (e-1)/2e and is
 //                                    near 1 in practice.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -84,6 +89,40 @@ void check_potential_and_convergence(int seeds) {
         .add(moves_per_user.mean())
         .add(32)
         .add(util::format("{}%", util::fixed(100.0 * increase_fraction.mean(), 1)))
+        .add(all_converged ? "yes" : "NO");
+  }
+  table.print(std::cout);
+}
+
+void check_nash_gap(int seeds) {
+  std::printf("\nDefinition 3 — residual Nash gap at the returned profile\n");
+  util::TextTable table({"instance", "move budget", "frozen users",
+                         "max Nash gap", "converged"});
+  struct Row {
+    std::size_t n, m, budget;
+  };
+  // The budget-2 row forces freezes, so the gap column shows what an
+  // approximate equilibrium looks like.
+  for (const Row& row : {Row{10, 40, 32}, Row{20, 100, 32}, Row{30, 200, 32},
+                         Row{30, 200, 2}}) {
+    util::RunningStats frozen;
+    double max_gap = 0.0;
+    bool all_converged = true;
+    for (int seed = 0; seed < seeds; ++seed) {
+      const auto inst = model::make_instance(
+          sized(row.n, row.m, 5), 31000 + static_cast<std::uint64_t>(seed));
+      core::GameOptions options;
+      options.max_moves_per_user = row.budget;
+      const auto result = core::IddeUGame(inst, options).run();
+      frozen.add(static_cast<double>(result.frozen_users));
+      max_gap = std::max(max_gap, result.nash_gap);
+      all_converged = all_converged && result.converged;
+    }
+    table.start_row()
+        .add(util::format("N={} M={}", row.n, row.m))
+        .add(row.budget)
+        .add(frozen.mean())
+        .add(util::format("{}", max_gap))
         .add(all_converged ? "yes" : "NO");
   }
   table.print(std::cout);
@@ -167,6 +206,7 @@ int main() {
   idde::util::set_log_level(idde::util::LogLevel::kError);
   const int seeds = static_cast<int>(idde::util::env_int_or("IDDE_SEEDS", 6));
   check_potential_and_convergence(seeds);
+  check_nash_gap(seeds);
   check_poa(seeds);
   check_greedy_ratio(seeds);
   return 0;

@@ -39,7 +39,6 @@ core::Strategy DupG::solve(const model::ProblemInstance& instance,
 
   core::GameOptions game_options;
   game_options.rule = rule_;
-  game_options.threads = game_threads_;
   game_options.candidate_servers = &candidates;
   game_options.max_rounds =
       std::max<std::size_t>(1000, instance.user_count() * 200);

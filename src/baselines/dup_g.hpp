@@ -18,11 +18,8 @@ namespace idde::baselines {
 
 class DupG final : public core::Approach {
  public:
-  /// `game_threads` is forwarded to GameOptions::threads for the step-2
-  /// allocation game (1 = serial, 0 = hardware concurrency).
-  explicit DupG(core::UpdateRule rule = core::UpdateRule::kBestImprovement,
-                std::size_t game_threads = 1)
-      : rule_(rule), game_threads_(game_threads) {}
+  explicit DupG(core::UpdateRule rule = core::UpdateRule::kBestImprovement)
+      : rule_(rule) {}
 
   [[nodiscard]] std::string name() const override { return "DUP-G"; }
 
@@ -31,7 +28,6 @@ class DupG final : public core::Approach {
 
  private:
   core::UpdateRule rule_;
-  std::size_t game_threads_;
 };
 
 }  // namespace idde::baselines

@@ -1,21 +1,17 @@
 #include "core/game.hpp"
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <optional>
+#include <algorithm>
 
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace idde::core {
 
 namespace {
 
-/// Telemetry for one finished solve (both engines). Pure observation —
-/// the engines' move sequences are bit-identical with this on or off.
+/// Telemetry for one finished solve. Pure observation — the move sequence
+/// is bit-identical with this on or off.
 void record_game_telemetry(const GameResult& result) {
   IDDE_OBS_COUNT("game.solves_total", 1);
   IDDE_OBS_COUNT("game.moves_total", result.moves);
@@ -25,6 +21,9 @@ void record_game_telemetry(const GameResult& result) {
   IDDE_OBS_COUNT("game.frozen_users_total", result.frozen_users);
   IDDE_OBS_HISTOGRAM("game.rounds", result.rounds);
   IDDE_OBS_HISTOGRAM("game.moves", result.moves);
+  // Gauges hold integers; millionths of a benefit unit keep sub-unit gaps
+  // visible (a converged potential game reads 0).
+  IDDE_OBS_GAUGE_SET("game.nash_gap_micro", result.nash_gap * 1e6);
 }
 
 }  // namespace
@@ -36,43 +35,30 @@ IddeUGame::IddeUGame(const model::ProblemInstance& instance,
   IDDE_EXPECTS(options.max_rounds > 0);
 }
 
+const std::vector<std::size_t>& IddeUGame::candidates(std::size_t user) const {
+  return options_.candidate_servers != nullptr
+             ? (*options_.candidate_servers)[user]
+             : instance_->covering_servers(user);
+}
+
 IddeUGame::BestResponse IddeUGame::best_response(
-    const radio::InterferenceField& field, radio::BatchEvaluator* batch,
-    std::size_t user, std::size_t* evaluations) const {
-  BestResponse best;
-  std::size_t count = 0;
+    radio::BatchEvaluator& batch, std::size_t user,
+    std::size_t& evaluations) const {
   const std::size_t channels = instance_->radio_env().channels_per_server;
-  const auto& servers = options_.candidate_servers != nullptr
-                            ? (*options_.candidate_servers)[user]
-                            : instance_->covering_servers(user);
-  if (batch != nullptr) {
-    // One SoA sweep prices every candidate; the argmax scan below walks
-    // the results in the same (server, channel) order with the same
-    // strict-> comparison as the scalar loop, so the winning slot and the
-    // evaluation count are identical.
-    const std::span<const double> priced = batch->benefits(user, servers);
-    count = priced.size();
-    for (std::size_t a = 0; a < servers.size(); ++a) {
-      for (std::size_t channel = 0; channel < channels; ++channel) {
-        const double benefit = priced[a * channels + channel];
-        if (benefit > best.benefit) {
-          best = BestResponse{ChannelSlot{servers[a], channel}, benefit};
-        }
-      }
-    }
-  } else {
-    for (const std::size_t server : servers) {
-      for (std::size_t channel = 0; channel < channels; ++channel) {
-        const ChannelSlot slot{server, channel};
-        const double benefit = field.benefit(user, slot);
-        ++count;
-        if (benefit > best.benefit) {
-          best = BestResponse{slot, benefit};
-        }
+  const std::vector<std::size_t>& servers = candidates(user);
+  // One SoA sweep prices every candidate; the argmax walks the results in
+  // (server, channel) order with a strict >, so the first best slot wins.
+  const std::span<const double> priced = batch.benefits(user, servers);
+  evaluations += priced.size();
+  BestResponse best;
+  for (std::size_t a = 0; a < servers.size(); ++a) {
+    for (std::size_t channel = 0; channel < channels; ++channel) {
+      const double benefit = priced[a * channels + channel];
+      if (benefit > best.benefit) {
+        best = BestResponse{ChannelSlot{servers[a], channel}, benefit};
       }
     }
   }
-  if (evaluations != nullptr) *evaluations += count;
   return best;
 }
 
@@ -83,203 +69,22 @@ GameResult IddeUGame::run() {
 GameResult IddeUGame::run_from(const AllocationProfile& start) {
   IDDE_EXPECTS(start.size() == instance_->user_count());
   IDDE_OBS_SPAN("game.solve");
-  // kCycleProbe deliberately violates the invariants the dirty-set cache
-  // is built on (moves that do not improve benefit), so it always takes
-  // the serial full-scan engine.
-  const bool incremental =
-      options_.incremental && options_.rule != UpdateRule::kCycleProbe;
-  GameResult result =
-      incremental ? run_incremental(start) : run_full_scan(start);
-  record_game_telemetry(result);
-  return result;
-}
-
-GameResult IddeUGame::run_full_scan(const AllocationProfile& start) {
   radio::InterferenceField field(instance_->radio_env());
   for (std::size_t j = 0; j < start.size(); ++j) {
     if (start[j].allocated()) field.add_user(j, start[j]);
   }
-  std::optional<radio::BatchEvaluator> batch;
-  if (options_.batched) batch.emplace(field);
-  radio::BatchEvaluator* const batch_ptr = batch ? &*batch : nullptr;
+  // Scratch accumulators only; every call reads the live field, so
+  // kAsyncSweep's mid-sweep moves are priced against the current state.
+  radio::BatchEvaluator batch(field);
 
   GameResult result;
   const std::size_t user_count = instance_->user_count();
+  const std::size_t channels = instance_->radio_env().channels_per_server;
   const double eps = options_.improvement_epsilon;
   std::vector<std::size_t> moves_of(user_count, 0);
   const auto movable = [&](std::size_t j) {
     return moves_of[j] < options_.max_moves_per_user;
   };
-  const auto record_move = [&](std::size_t j) {
-    if (++moves_of[j] == options_.max_moves_per_user) ++result.frozen_users;
-  };
-
-  // Benefit of the user's current decision; 0 when unallocated (a user
-  // always gains by joining some channel, matching Eq. 12's positivity).
-  const auto current_benefit = [&](std::size_t j) {
-    const ChannelSlot slot = field.slot_of(j);
-    return slot.allocated() ? field.benefit(j, slot) : 0.0;
-  };
-
-  while (result.rounds < options_.max_rounds) {
-    ++result.rounds;
-    bool moved = false;
-
-    switch (options_.rule) {
-      case UpdateRule::kBestImprovement: {
-        // Every user submits its candidate; the largest gain wins.
-        std::size_t winner = ChannelSlot::kNone;
-        ChannelSlot winner_slot = kUnallocated;
-        double winner_gain = eps;
-        for (std::size_t j = 0; j < user_count; ++j) {
-          if (!movable(j)) continue;
-          const BestResponse candidate =
-              best_response(field, batch_ptr, j, &result.benefit_evaluations);
-          if (!candidate.slot.allocated()) continue;
-          const double gain = candidate.benefit - current_benefit(j);
-          if (gain > winner_gain) {
-            winner_gain = gain;
-            winner = j;
-            winner_slot = candidate.slot;
-          }
-        }
-        if (winner != ChannelSlot::kNone) {
-          field.move_user(winner, winner_slot);
-          record_move(winner);
-          ++result.moves;
-          moved = true;
-        }
-        break;
-      }
-      case UpdateRule::kFirstImprovement: {
-        for (std::size_t j = 0; j < user_count && !moved; ++j) {
-          if (!movable(j)) continue;
-          const BestResponse candidate =
-              best_response(field, batch_ptr, j, &result.benefit_evaluations);
-          if (!candidate.slot.allocated()) continue;
-          if (candidate.benefit - current_benefit(j) > eps) {
-            field.move_user(j, candidate.slot);
-            record_move(j);
-            ++result.moves;
-            moved = true;
-          }
-        }
-        break;
-      }
-      case UpdateRule::kAsyncSweep: {
-        for (std::size_t j = 0; j < user_count; ++j) {
-          if (!movable(j)) continue;
-          const BestResponse candidate =
-              best_response(field, batch_ptr, j, &result.benefit_evaluations);
-          if (!candidate.slot.allocated()) continue;
-          if (candidate.benefit - current_benefit(j) > eps) {
-            field.move_user(j, candidate.slot);
-            record_move(j);
-            ++result.moves;
-            moved = true;
-          }
-        }
-        break;
-      }
-      case UpdateRule::kCycleProbe: {
-        // Watchdog-validation rule (see game.hpp): rotate the first
-        // eligible user through its candidate slots, ignoring benefit.
-        const std::size_t channels =
-            instance_->radio_env().channels_per_server;
-        for (std::size_t j = 0; j < user_count && !moved; ++j) {
-          if (!movable(j)) continue;
-          const auto& servers =
-              options_.candidate_servers != nullptr
-                  ? (*options_.candidate_servers)[j]
-                  : instance_->covering_servers(j);
-          if (servers.size() * channels < 2) continue;
-          const ChannelSlot slot = field.slot_of(j);
-          // Flat candidate index: position in the server-major,
-          // channel-minor scan order (or "before the first" when
-          // unallocated), advanced by one modulo the candidate count.
-          std::size_t flat = 0;
-          if (slot.allocated()) {
-            for (std::size_t s = 0; s < servers.size(); ++s) {
-              if (servers[s] == slot.server) {
-                flat = (s * channels + slot.channel + 1) %
-                       (servers.size() * channels);
-                break;
-              }
-            }
-          }
-          field.move_user(
-              j, ChannelSlot{servers[flat / channels], flat % channels});
-          record_move(j);
-          ++result.moves;
-          moved = true;
-        }
-        break;
-      }
-    }
-
-    if (!moved) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  if (!result.converged && !options_.budgeted) {
-    util::log_warn("IDDE-U game hit the round cap ({} rounds, {} moves)",
-                   result.rounds, result.moves);
-  }
-  if (result.frozen_users > 0) {
-    util::log_debug(
-        "IDDE-U game froze {} cycling users after {} moves each",
-        result.frozen_users, options_.max_moves_per_user);
-  }
-  result.allocation.resize(user_count);
-  result.final_benefits.resize(user_count, 0.0);
-  for (std::size_t j = 0; j < user_count; ++j) {
-    result.allocation[j] = field.slot_of(j);
-    if (result.allocation[j].allocated()) {
-      result.final_benefits[j] = field.benefit(j, result.allocation[j]);
-    }
-  }
-  return result;
-}
-
-GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
-  radio::InterferenceField field(instance_->radio_env());
-  for (std::size_t j = 0; j < start.size(); ++j) {
-    if (start[j].allocated()) field.add_user(j, start[j]);
-  }
-
-  GameResult result;
-  const std::size_t user_count = instance_->user_count();
-  const double eps = options_.improvement_epsilon;
-  std::vector<std::size_t> moves_of(user_count, 0);
-  const auto movable = [&](std::size_t j) {
-    return moves_of[j] < options_.max_moves_per_user;
-  };
-  const auto record_move = [&](std::size_t j) {
-    if (++moves_of[j] == options_.max_moves_per_user) ++result.frozen_users;
-  };
-
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options_.threads != 1 && user_count > 1) {
-    pool = std::make_unique<util::ThreadPool>(options_.threads);
-  }
-
-  // Batched evaluators are per-thread scratch (SoA accumulators), never
-  // shared: one for the serial paths plus one per pool lane for the
-  // parallel fan-out. Each call reads the live field, so mid-sweep moves
-  // (kAsyncSweep) are priced against the current state, like the scalar
-  // path.
-  std::optional<radio::BatchEvaluator> batch;
-  if (options_.batched) batch.emplace(field);
-  radio::BatchEvaluator* const batch_ptr = batch ? &*batch : nullptr;
-  std::vector<radio::BatchEvaluator> lane_batch;
-  if (pool != nullptr && options_.batched) {
-    lane_batch.reserve(pool->size());
-    for (std::size_t lane = 0; lane < pool->size(); ++lane) {
-      lane_batch.emplace_back(field);
-    }
-  }
 
   // The cache: each user's best response and current benefit against the
   // field state at its last refresh. A user is dirty iff a later move may
@@ -292,60 +97,22 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
   std::vector<std::size_t> dirty_list;
   dirty_list.reserve(user_count);
 
-  const auto evaluate_user = [&](radio::BatchEvaluator* eval, std::size_t j,
-                                 std::size_t* evaluations) {
-    cached[j] = best_response(field, eval, j, evaluations);
+  const auto evaluate_user = [&](std::size_t j) {
+    cached[j] = best_response(batch, j, result.benefit_evaluations);
     const ChannelSlot slot = field.slot_of(j);
     current[j] = slot.allocated() ? field.benefit(j, slot) : 0.0;
+    dirty[j] = 0;
   };
 
-  // Below this many dirty users a pool dispatch costs more than the
-  // evaluations themselves (one mutex/condvar round-trip per lane); the
-  // steady-state dirty set after a move is usually this small.
-  constexpr std::size_t kMinParallelBatch = 64;
-
   // Re-evaluates every dirty movable user (frozen users never move again,
-  // so their cache entries are dead). The field is read-only here, which
-  // makes the fan-out embarrassingly parallel; results land in distinct
-  // cache slots, so no synchronisation beyond the evaluation counter.
-  //
-  // Concurrency contract of the fan-out (stress-tested under TSan by
-  // tests/test_concurrency_stress.cpp): workers share the field and its
-  // version counters strictly read-only — the version guard below turns
-  // any future violation of that contract into a hard failure instead of
-  // a silent race — and each worker writes only cached[j] / current[j]
-  // for its own j, so entries are disjoint by construction.
+  // so their cache entries are dead until the final Nash-gap refresh).
   const auto refresh_dirty = [&] {
     dirty_list.clear();
     for (std::size_t j = 0; j < user_count; ++j) {
       if (dirty[j] != 0 && movable(j)) dirty_list.push_back(j);
     }
     IDDE_OBS_HISTOGRAM("game.dirty_set_size", dirty_list.size());
-    if (pool != nullptr && dirty_list.size() >= kMinParallelBatch) {
-      // Backlog sampled before dispatch: non-zero only when the pool is
-      // shared with other in-flight work.
-      IDDE_OBS_HISTOGRAM("game.pool_queue_depth", pool->queued());
-      const std::uint64_t version_before = field.version();
-      // memory-order: seq_cst tally; only read after parallel_for_lanes
-      // joins, so no cross-thread ordering is derived from it.
-      std::atomic<std::size_t> evaluations{0};
-      util::parallel_for_lanes(
-          *pool, dirty_list.size(), [&](std::size_t lane, std::size_t idx) {
-            std::size_t local = 0;
-            radio::BatchEvaluator* const eval =
-                lane_batch.empty() ? nullptr : &lane_batch[lane];
-            evaluate_user(eval, dirty_list[idx], &local);
-            evaluations.fetch_add(local, std::memory_order_relaxed);
-          });
-      IDDE_ASSERT(field.version() == version_before,
-                  "InterferenceField mutated during parallel refresh");
-      result.benefit_evaluations += evaluations.load();
-    } else {
-      for (const std::size_t j : dirty_list) {
-        evaluate_user(batch_ptr, j, &result.benefit_evaluations);
-      }
-    }
-    for (const std::size_t j : dirty_list) dirty[j] = 0;
+    for (const std::size_t j : dirty_list) evaluate_user(j);
   };
 
   // Dirty-set invariant: the applied move perturbed exactly the two slots
@@ -366,8 +133,13 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
         dirty[u] = 1;
       }
     }
-    record_move(j);
+    if (++moves_of[j] == options_.max_moves_per_user) ++result.frozen_users;
     ++result.moves;
+  };
+
+  // A clean cache entry is an improving move iff its gain beats eps.
+  const auto improves = [&](std::size_t j) {
+    return cached[j].slot.allocated() && cached[j].benefit - current[j] > eps;
   };
 
   while (result.rounds < options_.max_rounds) {
@@ -376,14 +148,13 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
 
     switch (options_.rule) {
       case UpdateRule::kBestImprovement: {
-        refresh_dirty();
-        // Same winner scan as the full engine, over cached candidates:
+        // Every user submits its candidate; the largest gain wins, and
         // strict > keeps the lowest index among equal gains.
+        refresh_dirty();
         std::size_t winner = ChannelSlot::kNone;
         double winner_gain = eps;
         for (std::size_t j = 0; j < user_count; ++j) {
-          if (!movable(j)) continue;
-          if (!cached[j].slot.allocated()) continue;
+          if (!movable(j) || !cached[j].slot.allocated()) continue;
           const double gain = cached[j].benefit - current[j];
           if (gain > winner_gain) {
             winner_gain = gain;
@@ -399,9 +170,7 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
       case UpdateRule::kFirstImprovement: {
         refresh_dirty();
         for (std::size_t j = 0; j < user_count && !moved; ++j) {
-          if (!movable(j)) continue;
-          if (!cached[j].slot.allocated()) continue;
-          if (cached[j].benefit - current[j] > eps) {
+          if (movable(j) && improves(j)) {
             apply_move(j, cached[j].slot);
             moved = true;
           }
@@ -409,30 +178,46 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
         break;
       }
       case UpdateRule::kAsyncSweep: {
-        // Moves mutate the field mid-sweep, so evaluation is inherently
-        // sequential here; with a pool we still batch the dirty set
-        // accumulated since the last sweep, then lazily re-evaluate users
-        // re-dirtied by this sweep's earlier moves at their turn.
-        if (pool != nullptr) refresh_dirty();
+        // Moves mutate the field mid-sweep, so each user is re-priced
+        // lazily at its turn if an earlier move dirtied it.
         for (std::size_t j = 0; j < user_count; ++j) {
           if (!movable(j)) continue;
-          if (dirty[j] != 0) {
-            evaluate_user(batch_ptr, j, &result.benefit_evaluations);
-            dirty[j] = 0;
-          }
-          if (!cached[j].slot.allocated()) continue;
-          if (cached[j].benefit - current[j] > eps) {
+          if (dirty[j] != 0) evaluate_user(j);
+          if (improves(j)) {
             apply_move(j, cached[j].slot);
             moved = true;
           }
         }
         break;
       }
-      case UpdateRule::kCycleProbe:
-        // Unreachable: run_from routes kCycleProbe to the full-scan
-        // engine (its non-improving moves break the dirty-set contract).
-        IDDE_ASSERT(false, "kCycleProbe on the incremental engine");
+      case UpdateRule::kCycleProbe: {
+        // Watchdog-validation rule (see game.hpp): rotate the first
+        // eligible user through its candidate slots, ignoring benefit. It
+        // reads no cached value; apply_move keeps the dirty bits exact.
+        for (std::size_t j = 0; j < user_count && !moved; ++j) {
+          if (!movable(j)) continue;
+          const std::vector<std::size_t>& servers = candidates(j);
+          if (servers.size() * channels < 2) continue;
+          const ChannelSlot slot = field.slot_of(j);
+          // Flat candidate index: position in the server-major,
+          // channel-minor scan order (or "before the first" when
+          // unallocated), advanced by one modulo the candidate count.
+          std::size_t flat = 0;
+          if (slot.allocated()) {
+            for (std::size_t s = 0; s < servers.size(); ++s) {
+              if (servers[s] == slot.server) {
+                flat = (s * channels + slot.channel + 1) %
+                       (servers.size() * channels);
+                break;
+              }
+            }
+          }
+          apply_move(j,
+                     ChannelSlot{servers[flat / channels], flat % channels});
+          moved = true;
+        }
         break;
+      }
     }
 
     if (!moved) {
@@ -450,18 +235,24 @@ GameResult IddeUGame::run_incremental(const AllocationProfile& start) {
         "IDDE-U game froze {} cycling users after {} moves each",
         result.frozen_users, options_.max_moves_per_user);
   }
+
+  // Final refresh: re-price every user the last moves dirtied, frozen ones
+  // included (their last move dirtied them and nothing refreshed them
+  // since), so the cache is exact for everyone and yields the final
+  // benefits and the residual Nash gap. On a converged run only frozen
+  // users are dirty; a capped run pays at most one round's refresh.
   result.allocation.resize(user_count);
   result.final_benefits.resize(user_count, 0.0);
   for (std::size_t j = 0; j < user_count; ++j) {
-    const ChannelSlot slot = field.slot_of(j);
-    result.allocation[j] = slot;
-    if (!slot.allocated()) continue;
-    // Serve from the cache where it is warm; frozen users are skipped by
-    // refresh_dirty and may be stale, so recompute those.
-    result.final_benefits[j] = (dirty[j] == 0 && movable(j))
-                                   ? current[j]
-                                   : field.benefit(j, slot);
+    if (dirty[j] != 0) evaluate_user(j);
+    result.allocation[j] = field.slot_of(j);
+    result.final_benefits[j] = current[j];
+    if (cached[j].slot.allocated()) {
+      result.nash_gap =
+          std::max(result.nash_gap, cached[j].benefit - current[j]);
+    }
   }
+  record_game_telemetry(result);
   return result;
 }
 

@@ -80,11 +80,16 @@ FlowLevelSimulator::FlowLevelSimulator(const model::ProblemInstance& instance,
 
 std::size_t FlowLevelSimulator::link_between(std::size_t a,
                                              std::size_t b) const {
+  // links_ was filled from an ordered map, so it is sorted by (a, b).
   const auto key = std::pair{std::min(a, b), std::max(a, b)};
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    if (links_[l].a == key.first && links_[l].b == key.second) return l;
+  const auto it = std::lower_bound(
+      links_.begin(), links_.end(), key, [](const Link& link, const auto& k) {
+        return std::pair{link.a, link.b} < k;
+      });
+  if (it == links_.end() || it->a != key.first || it->b != key.second) {
+    return kNoLink;
   }
-  return kNoLink;
+  return static_cast<std::size_t>(it - links_.begin());
 }
 
 namespace {

@@ -195,8 +195,8 @@ class FlowLevelSimulator {
     std::size_t b;
     double capacity_mbps;
   };
-  std::vector<Link> links_;
-  /// link index by (min(a,b), max(a,b)); kNoLink when absent.
+  std::vector<Link> links_;  ///< sorted by (a, b), a < b
+  /// link index by (min(a,b), max(a,b)), binary search; kNoLink when absent.
   [[nodiscard]] std::size_t link_between(std::size_t a, std::size_t b) const;
   static constexpr std::size_t kNoLink = static_cast<std::size_t>(-1);
 

@@ -91,10 +91,6 @@ struct ServeConfig {
   /// kCycleProbe exists so tests and the chaos bench can inject a cycling
   /// rule and prove the watchdog contains it.
   core::UpdateRule repair_rule = core::UpdateRule::kBestImprovement;
-  /// Solver threads for repairs (see GameOptions::threads); the move
-  /// sequence — and therefore the trajectory hash — is identical for
-  /// every value.
-  std::size_t solver_threads = 1;
 };
 
 }  // namespace idde::serve

@@ -165,7 +165,6 @@ ServeController::ServeController(ServeConfig config, std::uint64_t seed)
   // chaos rule (kCycleProbe) applies to *repairs*, which is what the
   // watchdog protects; starting from garbage would test nothing.
   core::IddeGOptions options;
-  options.game.threads = config_.solver_threads;
   std::vector<std::vector<std::size_t>> candidates;
   if (config_.churn_enabled) {
     candidates.resize(base_.user_count());
@@ -393,7 +392,6 @@ bool ServeController::run_equilibrium_repair(TickReport& report) {
   options.rule = config_.repair_rule;
   options.max_rounds = config_.repair_rounds_per_event;
   options.budgeted = true;
-  options.threads = config_.solver_threads;
   options.candidate_servers = &candidates_;
   core::IddeUGame game(inst, options);
   const core::AllocationProfile before = allocation_;

@@ -44,17 +44,13 @@ RunRecord run_approach(const model::ProblemInstance& instance,
   return record;
 }
 
-std::vector<core::ApproachPtr> make_paper_approaches(double ip_budget_ms,
-                                                     std::size_t game_threads) {
+std::vector<core::ApproachPtr> make_paper_approaches(double ip_budget_ms) {
   std::vector<core::ApproachPtr> approaches;
   approaches.push_back(std::make_unique<baselines::IddeIp>(ip_budget_ms));
-  core::IddeGOptions idde_g;
-  idde_g.game.threads = game_threads;
-  approaches.push_back(std::make_unique<core::IddeG>(idde_g));
+  approaches.push_back(std::make_unique<core::IddeG>());
   approaches.push_back(std::make_unique<baselines::Saa>());
   approaches.push_back(std::make_unique<baselines::Cdp>());
-  approaches.push_back(std::make_unique<baselines::DupG>(
-      core::UpdateRule::kBestImprovement, game_threads));
+  approaches.push_back(std::make_unique<baselines::DupG>());
   return approaches;
 }
 

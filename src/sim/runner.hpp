@@ -33,12 +33,8 @@ struct RunRecord {
 
 /// The paper's five approaches (Section 4.1) in presentation order:
 /// IDDE-IP, IDDE-G, SAA, CDP, DUP-G. `ip_budget_ms` caps the anytime
-/// solver (env IDDE_IP_BUDGET_MS still wins). `game_threads` is forwarded
-/// to GameOptions::threads of the game-based approaches (IDDE-G, DUP-G):
-/// 1 = serial, 0 = hardware concurrency. Leave at 1 when repetitions are
-/// already fanned out over a pool (see sim::run_sweep) to avoid
-/// oversubscription.
+/// solver (env IDDE_IP_BUDGET_MS still wins).
 [[nodiscard]] std::vector<core::ApproachPtr> make_paper_approaches(
-    double ip_budget_ms = 200.0, std::size_t game_threads = 1);
+    double ip_budget_ms = 200.0);
 
 }  // namespace idde::sim

@@ -147,8 +147,7 @@ std::vector<PointResult> run_sweep(
 
 std::vector<PointResult> run_paper_sweep(const std::vector<SweepPoint>& points,
                                          const SweepOptions& options) {
-  const auto approaches =
-      make_paper_approaches(options.ip_budget_ms, options.game_threads);
+  const auto approaches = make_paper_approaches(options.ip_budget_ms);
   return run_sweep(points, approaches, options);
 }
 

@@ -50,11 +50,6 @@ struct SweepOptions {
   std::uint64_t base_seed = 42;
   /// Threads for parallel repetitions; 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// GameOptions::threads for the game-based approaches built by
-  /// run_paper_sweep (1 = serial, 0 = hardware). Repetitions already run
-  /// in parallel, so raise this only for single-instance studies (set
-  /// `threads = 1` alongside to keep the machine subscribed once).
-  std::size_t game_threads = 1;
   /// IDDE-IP anytime budget for run_paper_sweep, milliseconds.
   double ip_budget_ms = 200.0;
   /// Optional fault profile (not owned; must outlive the sweep). When set
@@ -85,7 +80,7 @@ struct SweepOptions {
     const SweepOptions& options);
 
 /// Convenience wrapper: builds the paper's five approaches from
-/// `options.ip_budget_ms` / `options.game_threads` and runs the sweep.
+/// `options.ip_budget_ms` and runs the sweep.
 [[nodiscard]] std::vector<PointResult> run_paper_sweep(
     const std::vector<SweepPoint>& points, const SweepOptions& options);
 

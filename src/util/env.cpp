@@ -37,10 +37,4 @@ double ip_budget_ms(double fallback) {
   return env_double_or("IDDE_IP_BUDGET_MS", fallback);
 }
 
-std::size_t game_threads(std::size_t fallback) {
-  const std::int64_t value =
-      env_int_or("IDDE_GAME_THREADS", static_cast<std::int64_t>(fallback));
-  return value < 0 ? fallback : static_cast<std::size_t>(value);
-}
-
 }  // namespace idde::util

@@ -22,9 +22,4 @@ namespace idde::util {
 /// Env: IDDE_IP_BUDGET_MS (default `fallback`).
 [[nodiscard]] double ip_budget_ms(double fallback);
 
-/// Worker threads for the IDDE-U game's best-response fan-out
-/// (GameOptions::threads; 1 = serial, 0 = hardware concurrency).
-/// Env: IDDE_GAME_THREADS (default `fallback`).
-[[nodiscard]] std::size_t game_threads(std::size_t fallback);
-
 }  // namespace idde::util

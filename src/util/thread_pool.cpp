@@ -42,11 +42,6 @@ void ThreadPool::wait_idle() {
   while (in_flight_ != 0) all_done_.wait(mutex_);
 }
 
-std::size_t ThreadPool::queued() {
-  const MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
@@ -68,13 +63,6 @@ void ThreadPool::worker_loop() {
 
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
-  parallel_for_lanes(pool, count,
-                     [&body](std::size_t /*lane*/, std::size_t i) { body(i); });
-}
-
-void parallel_for_lanes(
-    ThreadPool& pool, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   std::exception_ptr first_error;
   Mutex error_mutex;
@@ -86,12 +74,12 @@ void parallel_for_lanes(
   Mutex done_mutex;
   CondVar done_cv;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    pool.submit([&, lane] {
+    pool.submit([&] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) break;
         try {
-          body(lane, i);
+          body(i);
         } catch (...) {
           const MutexLock lock(error_mutex);
           if (!first_error) first_error = std::current_exception();

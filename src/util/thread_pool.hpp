@@ -41,11 +41,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle() IDDE_EXCLUDES(mutex_);
 
-  /// Tasks submitted but not yet picked up by a worker — an instantaneous
-  /// backlog reading for telemetry (racy by nature: the true depth may
-  /// change before the caller uses it).
-  [[nodiscard]] std::size_t queued() IDDE_EXCLUDES(mutex_);
-
  private:
   void worker_loop() IDDE_EXCLUDES(mutex_);
 
@@ -67,13 +62,5 @@ class ThreadPool {
 /// tracks its own completion.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t)>& body);
-
-/// As parallel_for, but body(lane, i) also receives the index of the lane
-/// (worker task) executing it, in [0, min(pool.size(), count)). A lane
-/// runs on exactly one thread for the duration of the call, so lane-indexed
-/// scratch (per-worker evaluators, arenas) needs no synchronisation.
-void parallel_for_lanes(
-    ThreadPool& pool, std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace idde::util

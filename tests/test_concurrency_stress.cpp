@@ -3,8 +3,8 @@
 // failure). Covers the three shared-state surfaces of the codebase:
 //   - util::ThreadPool (queue / in-flight / stop-flag handling, shutdown,
 //     reuse, exception propagation, concurrent parallel_for callers),
-//   - core::IddeUGame's parallel dirty-set refresh (field and version
-//     counters shared read-only across workers),
+//   - core::IddeUGame solves racing on separate threads (each owns its
+//     field and cache; only the instance and telemetry are shared),
 //   - util::logging's global level + write serialisation,
 //   - obs:: telemetry (striped counters, histogram CAS folds, registry
 //     lookups, tracer buffers) hammered concurrently with scrapes.
@@ -13,6 +13,7 @@
 // point here — they drive the pool from many directions at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
@@ -48,12 +49,9 @@ InstanceParams shape(std::size_t n, std::size_t m, std::size_t k = 3) {
   return p;
 }
 
-GameResult solve(const ProblemInstance& inst, UpdateRule rule,
-                 bool incremental, std::size_t threads) {
+GameResult solve(const ProblemInstance& inst, UpdateRule rule) {
   GameOptions options;
   options.rule = rule;
-  options.incremental = incremental;
-  options.threads = threads;
   return IddeUGame(inst, options).run();
 }
 
@@ -156,49 +154,33 @@ TEST(ThreadPoolStress, ConcurrentParallelForCallers) {
   EXPECT_EQ(total.load(), kCallers * 5 * kCount);
 }
 
-// --- IddeUGame parallel dirty-set refresh ---------------------------------
+// --- IddeUGame solves on separate threads ---------------------------------
 
-// Several full incremental solves at threads = hardware running in
-// parallel caller threads (each with its own pool and field): any write to
-// shared field/version state from the fan-out shows up as a TSan race.
-TEST(GameStress, ConcurrentIncrementalSolvesAtHardwareThreads) {
-  // 150 users keeps the initial all-dirty refresh above the engine's
-  // serial-batch cutoff, so the pool fan-out path actually runs.
+// Several whole solves on parallel caller threads sharing one instance,
+// with telemetry on: any write to shared instance or telemetry state
+// outside the atomic/annotated primitives shows up as a TSan race, and
+// every thread must reproduce the serial dynamics.
+TEST(GameStress, ConcurrentSerialSolvesOnSeparateThreads) {
   const ProblemInstance inst = model::make_instance(shape(10, 150), 7);
-  const GameResult reference =
-      solve(inst, UpdateRule::kBestImprovement, true, 1);
-
-  constexpr std::size_t kSolvers = 4;
-  std::vector<GameResult> results(kSolvers);
-  std::vector<std::thread> solvers;
-  solvers.reserve(kSolvers);
-  for (std::size_t s = 0; s < kSolvers; ++s) {
-    solvers.emplace_back([&, s] {
-      results[s] = solve(inst, UpdateRule::kBestImprovement, true, 0);
-    });
-  }
-  for (auto& solver : solvers) solver.join();
-  for (const GameResult& result : results) {
-    expect_same_dynamics(reference, result);
-  }
-}
-
-// threads=1 vs threads=hardware vs the full-scan oracle: the move sequence
-// is bit-identical for every rule (the fan-out is pure scheduling).
-TEST(GameStress, ThreadCountDeterminism) {
-  constexpr UpdateRule kAllRules[] = {UpdateRule::kBestImprovement,
-                                      UpdateRule::kFirstImprovement,
-                                      UpdateRule::kAsyncSweep};
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(10, 150), seed);
-    for (const UpdateRule rule : kAllRules) {
-      const GameResult oracle = solve(inst, rule, false, 1);
-      const GameResult serial = solve(inst, rule, true, 1);
-      const GameResult wide = solve(inst, rule, true, 0);
-      expect_same_dynamics(oracle, serial);
-      expect_same_dynamics(oracle, wide);
+  const bool telemetry_before = obs::enabled();
+  obs::set_enabled(true);
+  constexpr UpdateRule kRules[] = {UpdateRule::kBestImprovement,
+                                   UpdateRule::kAsyncSweep};
+  for (const UpdateRule rule : kRules) {
+    const GameResult reference = solve(inst, rule);
+    constexpr std::size_t kSolvers = 4;
+    std::vector<GameResult> results(kSolvers);
+    std::vector<std::thread> solvers;
+    solvers.reserve(kSolvers);
+    for (std::size_t s = 0; s < kSolvers; ++s) {
+      solvers.emplace_back([&, s] { results[s] = solve(inst, rule); });
+    }
+    for (auto& solver : solvers) solver.join();
+    for (const GameResult& result : results) {
+      expect_same_dynamics(reference, result);
     }
   }
+  obs::set_enabled(telemetry_before);
 }
 
 // --- logging --------------------------------------------------------------

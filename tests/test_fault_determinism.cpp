@@ -1,7 +1,7 @@
 // Fault determinism contract (mirrors the PR 1 engine contract in
 // test_game_incremental.cpp): identical seed + FaultPlan must yield
-// bit-identical event sequences and metrics regardless of solver thread
-// count — the fault layer introduces no nondeterminism of its own.
+// bit-identical event sequences and metrics across independent solves and
+// replays — the fault layer introduces no nondeterminism of its own.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -53,37 +53,34 @@ TEST(FaultDeterminism, PlanIsBitIdenticalForSameSeed) {
   }
 }
 
-core::Strategy solve_with_threads(const model::ProblemInstance& inst,
-                                  std::size_t threads, std::uint64_t seed) {
-  core::IddeGOptions options;
-  options.game.threads = threads;
+core::Strategy solve(const model::ProblemInstance& inst, std::uint64_t seed) {
   util::Rng rng(seed);
-  return core::IddeG(options).solve(inst, rng);
+  return core::IddeG().solve(inst, rng);
 }
 
 // The full pipeline — solve, draw a plan, replay through the faulty DES —
-// must be bit-identical between a 1-thread and a hardware-thread solve:
-// the game engine already guarantees an identical equilibrium, and the
-// fault layer (plan generation, epoch slicing, failover, retry loop) is
-// single-threaded and seed-pure on top of it.
-TEST(FaultDeterminism, PipelineIdenticalAcrossSolverThreadCounts) {
+// must be bit-identical between two independent solves: the game engine
+// already guarantees an identical equilibrium, and the fault layer (plan
+// generation, epoch slicing, failover, retry loop) is single-threaded and
+// seed-pure on top of it.
+TEST(FaultDeterminism, PipelineIdenticalAcrossRepeatedSolves) {
   for (std::uint64_t seed = 20; seed <= 22; ++seed) {
     const auto inst = model::make_instance(small_params(), seed);
     const auto plan =
         fault::FaultPlan::generate(inst, busy_profile(), seed ^ 0x4a17);
     ASSERT_FALSE(plan.inert());
 
-    const auto serial = solve_with_threads(inst, 1, seed);
-    const auto parallel = solve_with_threads(inst, 0, seed);  // hw threads
+    const auto first = solve(inst, seed);
+    const auto second = solve(inst, seed);
 
     des::FlowSimOptions options;
     options.arrival_window_s = 20.0;
     options.fault_plan = &plan;
     util::Rng rng_a(seed);
     util::Rng rng_b(seed);
-    const auto a = des::FlowLevelSimulator(inst, options).run(serial, rng_a);
+    const auto a = des::FlowLevelSimulator(inst, options).run(first, rng_a);
     const auto b =
-        des::FlowLevelSimulator(inst, options).run(parallel, rng_b);
+        des::FlowLevelSimulator(inst, options).run(second, rng_b);
 
     ASSERT_EQ(a.flows.size(), b.flows.size());
     for (std::size_t f = 0; f < a.flows.size(); ++f) {
@@ -100,9 +97,9 @@ TEST(FaultDeterminism, PipelineIdenticalAcrossSolverThreadCounts) {
     EXPECT_EQ(a.retry_count, b.retry_count);
     EXPECT_EQ(a.tier_counts, b.tier_counts);
 
-    const auto ra = fault::evaluate_resilience(inst, serial, plan,
+    const auto ra = fault::evaluate_resilience(inst, first, plan,
                                                fault::RepairPolicy::kGreedy);
-    const auto rb = fault::evaluate_resilience(inst, parallel, plan,
+    const auto rb = fault::evaluate_resilience(inst, second, plan,
                                                fault::RepairPolicy::kGreedy);
     EXPECT_EQ(ra.degraded_latency_ms, rb.degraded_latency_ms);
     EXPECT_EQ(ra.availability, rb.availability);
@@ -114,7 +111,7 @@ TEST(FaultDeterminism, PipelineIdenticalAcrossSolverThreadCounts) {
 
 TEST(FaultDeterminism, ResilienceEvaluationIsRepeatable) {
   const auto inst = model::make_instance(small_params(), 30);
-  const auto strategy = solve_with_threads(inst, 0, 30);
+  const auto strategy = solve(inst, 30);
   const auto plan =
       fault::FaultPlan::generate(inst, busy_profile(), 0xfee1);
   const auto a = fault::evaluate_resilience(inst, strategy, plan,

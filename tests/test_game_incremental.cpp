@@ -1,14 +1,15 @@
-// Equivalence and property tests for the incremental, parallel
-// best-response engine. The dirty-set cache and the thread fan-out are
-// pure scheduling layers: for every update rule and thread count the game
-// must replay the seed full-scan engine's move sequence exactly, and the
-// cached benefits it carries must match a from-scratch recomputation.
+// Equivalence and property tests for the IDDE-U engine. The dirty-set
+// cache and the batched SoA kernel are pure optimisations: for every update
+// rule the engine must replay the full-scan, per-slot-priced oracle
+// (tests/oracles/game_full_scan.hpp) exactly, and the cached benefits and
+// Nash gap it reports must match a from-scratch recomputation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "core/game.hpp"
 #include "model/instance_builder.hpp"
+#include "oracles/game_full_scan.hpp"
 #include "radio/interference.hpp"
 
 namespace {
@@ -34,13 +35,10 @@ InstanceParams shape(std::size_t n, std::size_t m, std::size_t k = 3) {
   return p;
 }
 
-GameResult run_engine(const ProblemInstance& inst, UpdateRule rule,
-                      bool incremental, std::size_t threads) {
+GameOptions with_rule(UpdateRule rule) {
   GameOptions options;
   options.rule = rule;
-  options.incremental = incremental;
-  options.threads = threads;
-  return IddeUGame(inst, options).run();
+  return options;
 }
 
 void expect_same_dynamics(const GameResult& expected, const GameResult& actual,
@@ -53,6 +51,9 @@ void expect_same_dynamics(const GameResult& expected, const GameResult& actual,
   EXPECT_EQ(expected.rounds, actual.rounds) << tag();
   EXPECT_EQ(expected.converged, actual.converged) << tag();
   EXPECT_EQ(expected.frozen_users, actual.frozen_users) << tag();
+  // Same move sequence, same field bits: the gap priced from the engine's
+  // cache equals the oracle's scalar scan of its own field exactly.
+  EXPECT_EQ(expected.nash_gap, actual.nash_gap) << tag();
   ASSERT_EQ(expected.allocation.size(), actual.allocation.size());
   for (std::size_t j = 0; j < expected.allocation.size(); ++j) {
     EXPECT_EQ(expected.allocation[j], actual.allocation[j])
@@ -60,66 +61,24 @@ void expect_same_dynamics(const GameResult& expected, const GameResult& actual,
   }
 }
 
-// 20 seeded instances x 3 rules: the incremental engine must replay the
-// full-scan engine's dynamics exactly (same move count, same rounds, same
-// final allocation), while doing strictly less SINR work.
+// Seeded instances x 3 rules: the engine must replay the oracle's dynamics
+// exactly (same move count, same rounds, same final allocation) while
+// doing less SINR work. The oracle prices every slot with scalar
+// field.benefit() calls, so this checks the dirty-set cache and the
+// batched kernel at once.
 TEST(IncrementalEngine, ReplaysFullScanDynamicsExactly) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(8, 40), seed);
-    for (const UpdateRule rule : kAllRules) {
-      const GameResult full = run_engine(inst, rule, false, 1);
-      const GameResult inc = run_engine(inst, rule, true, 1);
-      expect_same_dynamics(full, inc, seed, rule);
-      EXPECT_LE(inc.benefit_evaluations, full.benefit_evaluations);
-    }
-  }
-}
-
-// The thread fan-out must not change the dynamics either (winner selection
-// stays a deterministic serial scan over the refreshed cache).
-TEST(IncrementalEngine, ParallelReplaysFullScanDynamics) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
-    for (const UpdateRule rule : kAllRules) {
-      const GameResult full = run_engine(inst, rule, false, 1);
-      for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
-        const GameResult inc = run_engine(inst, rule, true, threads);
+  struct Case {
+    InstanceParams params;
+    std::uint64_t seeds;
+  };
+  for (const Case& c : {Case{shape(8, 40), 20}, Case{shape(10, 60), 8}}) {
+    for (std::uint64_t seed = 1; seed <= c.seeds; ++seed) {
+      const ProblemInstance inst = model::make_instance(c.params, seed);
+      for (const UpdateRule rule : kAllRules) {
+        const GameResult full = oracles::run_full_scan(inst, with_rule(rule));
+        const GameResult inc = IddeUGame(inst, with_rule(rule)).run();
         expect_same_dynamics(full, inc, seed, rule);
-      }
-    }
-  }
-}
-
-// Kernel swap invariance: with GameOptions::batched toggled off the engine
-// prices slots through per-slot InterferenceField calls (the scalar
-// oracle); with it on, through the BatchEvaluator SoA kernel. The kernels
-// are bit-identical by contract, so every rule at every thread count must
-// produce the same move sequence, round count, and final allocation —
-// and the same number of benefit evaluations, since dirty-set scheduling
-// is untouched by the kernel choice.
-TEST(IncrementalEngine, BatchedKernelReplaysScalarKernelDynamics) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
-    for (const UpdateRule rule : kAllRules) {
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{0}, std::size_t{3}}) {
-        GameOptions options;
-        options.rule = rule;
-        options.incremental = true;
-        options.threads = threads;
-        options.batched = false;
-        const GameResult scalar = IddeUGame(inst, options).run();
-        options.batched = true;
-        const GameResult batched = IddeUGame(inst, options).run();
-        expect_same_dynamics(scalar, batched, seed, rule);
-        // At matched thread counts the schedule is identical too, so the
-        // kernels must price the exact same set of slots. (Across thread
-        // counts kAsyncSweep legitimately evaluates more — the fan-out
-        // refreshes speculatively — which is why scalar and batched are
-        // paired per thread count here.)
-        EXPECT_EQ(scalar.benefit_evaluations, batched.benefit_evaluations)
-            << "seed " << seed << " rule " << static_cast<int>(rule)
-            << " threads " << threads;
+        EXPECT_LE(inc.benefit_evaluations, full.benefit_evaluations);
       }
     }
   }
@@ -131,29 +90,58 @@ TEST(IncrementalEngine, BatchedKernelReplaysScalarKernelDynamics) {
 // margin here is far larger).
 TEST(IncrementalEngine, SlashesBenefitEvaluations) {
   const ProblemInstance inst = model::make_instance(shape(20, 150, 5), 7);
-  const GameResult full =
-      run_engine(inst, UpdateRule::kBestImprovement, false, 1);
-  const GameResult inc =
-      run_engine(inst, UpdateRule::kBestImprovement, true, 1);
+  const GameResult full = oracles::run_full_scan(inst);
+  const GameResult inc = IddeUGame(inst).run();
   EXPECT_GE(full.benefit_evaluations, 3 * inc.benefit_evaluations);
 }
 
-// Property: a converged incremental run with no frozen users is a Nash
-// equilibrium (Definition 3) — the cache never hides an improving move.
+// Property: a converged run with no frozen users is a Nash equilibrium
+// (Definition 3) — the cache never hides an improving move — and the
+// engine reports a residual gap of at most improvement_epsilon.
 TEST(IncrementalEngine, ConvergedProfileIsNashEquilibrium) {
   std::size_t checked = 0;
   for (std::uint64_t seed = 30; seed < 42; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(7, 30), seed);
     for (const UpdateRule rule : kAllRules) {
-      const GameResult result = run_engine(inst, rule, true, 1);
+      const GameOptions options = with_rule(rule);
+      const GameResult result = IddeUGame(inst, options).run();
       if (result.converged && result.frozen_users == 0) {
         EXPECT_TRUE(core::is_nash_equilibrium(inst, result.allocation))
+            << "seed " << seed << " rule " << static_cast<int>(rule);
+        EXPECT_LE(result.nash_gap, options.improvement_epsilon)
             << "seed " << seed << " rule " << static_cast<int>(rule);
         ++checked;
       }
     }
   }
   EXPECT_GT(checked, 20u);
+}
+
+// Frozen users and capped runs leave a real gap. The engine prices it from
+// its cache plus one final refresh; it must equal the oracle's scan of the
+// same field bit for bit, and a scan of a freshly built field to rounding.
+TEST(IncrementalEngine, NashGapMatchesFromScratchScan) {
+  std::size_t frozen_runs = 0;
+  for (std::uint64_t seed = 200; seed < 206; ++seed) {
+    const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
+    for (const UpdateRule rule : kAllRules) {
+      for (const std::size_t max_rounds : {std::size_t{5}, std::size_t{0}}) {
+        GameOptions options = with_rule(rule);
+        options.max_moves_per_user = 2;
+        options.budgeted = true;
+        if (max_rounds > 0) options.max_rounds = max_rounds;
+        const GameResult full = oracles::run_full_scan(inst, options);
+        const GameResult inc = IddeUGame(inst, options).run();
+        expect_same_dynamics(full, inc, seed, rule);
+        EXPECT_NEAR(inc.nash_gap, oracles::nash_gap(inst, inc.allocation),
+                    1e-9)
+            << "seed " << seed << " rule " << static_cast<int>(rule);
+        if (inc.frozen_users > 0 && inc.nash_gap > 0.0) ++frozen_runs;
+      }
+    }
+  }
+  // The move budget must actually have frozen users with gains left.
+  EXPECT_GT(frozen_runs, 0u);
 }
 
 // Randomized equivalence: the benefits the engine carried in its cache at
@@ -163,42 +151,33 @@ TEST(IncrementalEngine, ConvergedProfileIsNashEquilibrium) {
 TEST(IncrementalEngine, CachedBenefitsMatchReferenceRecomputation) {
   for (std::uint64_t seed = 100; seed < 120; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(9, 45), seed);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-      const GameResult result =
-          run_engine(inst, UpdateRule::kBestImprovement, true, threads);
-      ASSERT_EQ(result.final_benefits.size(), inst.user_count());
-      for (std::size_t j = 0; j < inst.user_count(); ++j) {
-        if (!result.allocation[j].allocated()) {
-          EXPECT_EQ(result.final_benefits[j], 0.0);
-          continue;
-        }
-        const double reference = radio::benefit_reference(
-            inst.radio_env(), result.allocation, j, result.allocation[j]);
-        EXPECT_NEAR(result.final_benefits[j], reference, 1e-12)
-            << "seed " << seed << " user " << j;
+    const GameResult result = IddeUGame(inst).run();
+    ASSERT_EQ(result.final_benefits.size(), inst.user_count());
+    for (std::size_t j = 0; j < inst.user_count(); ++j) {
+      if (!result.allocation[j].allocated()) {
+        EXPECT_EQ(result.final_benefits[j], 0.0);
+        continue;
       }
+      const double reference = radio::benefit_reference(
+          inst.radio_env(), result.allocation, j, result.allocation[j]);
+      EXPECT_NEAR(result.final_benefits[j], reference, 1e-12)
+          << "seed " << seed << " user " << j;
     }
   }
 }
 
-// run_from with a warm profile: the incremental engine accepts an
-// arbitrary starting allocation and still matches the full-scan replay.
+// run_from with a warm profile: the engine accepts an arbitrary starting
+// allocation and still matches the full-scan replay.
 TEST(IncrementalEngine, WarmStartReplaysFullScan) {
   const ProblemInstance inst = model::make_instance(shape(8, 40), 55);
-  GameOptions options;
-  const GameResult warm = IddeUGame(inst, options).run();
+  const GameResult warm = IddeUGame(inst).run();
   // Perturb: drop every third user back to unallocated.
   AllocationProfile start = warm.allocation;
   for (std::size_t j = 0; j < start.size(); j += 3) start[j] = core::kUnallocated;
   for (const UpdateRule rule : kAllRules) {
-    GameOptions full_options;
-    full_options.rule = rule;
-    full_options.incremental = false;
-    GameOptions inc_options;
-    inc_options.rule = rule;
-    inc_options.incremental = true;
-    const GameResult full = IddeUGame(inst, full_options).run_from(start);
-    const GameResult inc = IddeUGame(inst, inc_options).run_from(start);
+    const GameResult full =
+        oracles::run_full_scan(inst, with_rule(rule), start);
+    const GameResult inc = IddeUGame(inst, with_rule(rule)).run_from(start);
     expect_same_dynamics(full, inc, 55, rule);
   }
 }
@@ -215,14 +194,10 @@ TEST(IncrementalEngine, CandidateRestrictionReplaysFullScan) {
     }
   }
   for (const UpdateRule rule : kAllRules) {
-    GameOptions full_options;
-    full_options.rule = rule;
-    full_options.incremental = false;
-    full_options.candidate_servers = &candidates;
-    GameOptions inc_options = full_options;
-    inc_options.incremental = true;
-    const GameResult full = IddeUGame(inst, full_options).run();
-    const GameResult inc = IddeUGame(inst, inc_options).run();
+    GameOptions options = with_rule(rule);
+    options.candidate_servers = &candidates;
+    const GameResult full = oracles::run_full_scan(inst, options);
+    const GameResult inc = IddeUGame(inst, options).run();
     expect_same_dynamics(full, inc, 77, rule);
   }
 }
@@ -233,15 +208,41 @@ TEST(IncrementalEngine, MoveBudgetFreezesIdentically) {
   for (std::uint64_t seed = 200; seed < 206; ++seed) {
     const ProblemInstance inst = model::make_instance(shape(10, 60), seed);
     for (const UpdateRule rule : kAllRules) {
-      GameOptions full_options;
-      full_options.rule = rule;
-      full_options.incremental = false;
-      full_options.max_moves_per_user = 2;
-      GameOptions inc_options = full_options;
-      inc_options.incremental = true;
-      const GameResult full = IddeUGame(inst, full_options).run();
-      const GameResult inc = IddeUGame(inst, inc_options).run();
+      GameOptions options = with_rule(rule);
+      options.max_moves_per_user = 2;
+      const GameResult full = oracles::run_full_scan(inst, options);
+      const GameResult inc = IddeUGame(inst, options).run();
       expect_same_dynamics(full, inc, seed, rule);
+    }
+  }
+}
+
+// The watchdog-validation rule runs in the same loop: it rotates users
+// through their candidates without reading the cache, so the engine must
+// replay the oracle's rotation — cold, warm, restricted and frozen.
+TEST(IncrementalEngine, CycleProbeReplaysFullScan) {
+  const ProblemInstance inst = model::make_instance(shape(8, 40), 91);
+  std::vector<std::vector<std::size_t>> candidates(inst.user_count());
+  for (std::size_t j = 0; j < inst.user_count(); ++j) {
+    const auto& covering = inst.covering_servers(j);
+    for (std::size_t c = 1; c < covering.size(); c += 2) {
+      candidates[j].push_back(covering[c]);
+    }
+  }
+  const AllocationProfile warm = IddeUGame(inst).run().allocation;
+  const AllocationProfile cold(inst.user_count(), core::kUnallocated);
+  for (const bool restricted : {false, true}) {
+    for (const std::size_t budget : {std::size_t{3}, std::size_t{32}}) {
+      for (const AllocationProfile* start : {&cold, &warm}) {
+        GameOptions options = with_rule(UpdateRule::kCycleProbe);
+        options.max_rounds = 150;
+        options.max_moves_per_user = budget;
+        options.budgeted = true;
+        if (restricted) options.candidate_servers = &candidates;
+        const GameResult full = oracles::run_full_scan(inst, options, *start);
+        const GameResult inc = IddeUGame(inst, options).run_from(*start);
+        expect_same_dynamics(full, inc, 91, options.rule);
+      }
     }
   }
 }

@@ -166,20 +166,6 @@ TEST(Serve, WatchdogContainsCyclingRepairRule) {
   }
 }
 
-TEST(Serve, SolverThreadCountDoesNotChangeTrajectory) {
-  serve::ServeConfig serial = small_config();
-  serial.solver_threads = 1;
-  serve::ServeConfig threaded = small_config();
-  threaded.solver_threads = 4;
-  serve::ServeController a(serial, 13);
-  serve::ServeController b(threaded, 13);
-  for (int step = 0; step < 12; ++step) {
-    (void)a.tick();
-    (void)b.tick();
-    ASSERT_EQ(a.trajectory_hash(), b.trajectory_hash()) << "tick " << step;
-  }
-}
-
 // Fault-free, churn-free serving must stay essentially non-degraded: the
 // only events are stranded walkers and periodic sigma refreshes, and each
 // repairs to convergence within its budget.

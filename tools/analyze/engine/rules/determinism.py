@@ -53,7 +53,7 @@ UNORDERED = re.compile(
 POINTER_KEY = re.compile(
     r"\bstd::((?:multi)?(?:map|set))\s*<\s*(?:[\w:]+\s*)+\*\s*[,>]")
 PAR_STL = re.compile(r"\bstd::(reduce|execution::par(?:_unseq)?)\b")
-PARALLEL_CALL = re.compile(r"\bparallel_for(?:_lanes)?\s*\(")
+PARALLEL_CALL = re.compile(r"\bparallel_for\s*\(")
 ACCUM = re.compile(
     r"(?P<recv>[A-Za-z_]\w*(?:(?:\.|->)\w+|\[[^]]*\])*)\s*"
     r"(?:\+=|-=|\*=|/=|\.\s*(?:add|record)\s*\()")

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -100,7 +101,6 @@ int cmd_solve(int argc, const char* const* argv) {
   std::string out = "strategy.json";
   std::size_t seed = 1;
   double ip_budget_ms = 200.0;
-  std::size_t threads = 1;
   util::CliParser cli("idde_tool solve: solve a stored instance");
   cli.add_string("instance", &instance_path, "instance JSON path");
   cli.add_string("approach", &approach_name,
@@ -108,8 +108,6 @@ int cmd_solve(int argc, const char* const* argv) {
   cli.add_string("out", &out, "output strategy path");
   cli.add_size("seed", &seed, "solver seed");
   cli.add_double("ip-budget-ms", &ip_budget_ms, "IDDE-IP budget");
-  cli.add_size("threads", &threads,
-               "allocation-game worker threads (1 = serial, 0 = hardware)");
   std::string trace_out;
   std::string metrics_out;
   cli.add_string("trace-out", &trace_out,
@@ -124,23 +122,23 @@ int cmd_solve(int argc, const char* const* argv) {
 
   const model::ProblemInstance instance =
       model::instance_from_string(read_file(instance_path));
-  const auto approaches = sim::make_paper_approaches(ip_budget_ms, threads);
+  const auto approaches = sim::make_paper_approaches(ip_budget_ms);
   const core::Approach* approach = find_approach(approaches, approach_name);
   if (approach == nullptr) {
     std::fprintf(stderr, "unknown approach '%s'\n", approach_name.c_str());
     return 1;
   }
   util::Rng rng(static_cast<std::uint64_t>(seed));
-  const sim::RunRecord record = sim::run_approach(instance, *approach, rng);
+  std::optional<core::Strategy> strategy;
+  const sim::RunRecord record = sim::run_approach(
+      instance, *approach, rng, /*require_valid=*/false, &strategy);
   std::printf("%s: R_avg %.2f MB/s, L_avg %.2f ms, %.3f ms solve, %s\n",
               record.approach.c_str(), record.metrics.avg_rate_mbps,
               record.metrics.avg_latency_ms, record.solve_ms,
               record.strategy_valid ? "valid" : "INVALID");
-  // Re-solve to materialise the strategy for output (run_approach consumes
-  // it internally; determinism makes the two runs identical).
-  util::Rng rng2(static_cast<std::uint64_t>(seed));
-  write_file(out,
-             core::strategy_to_string(approach->solve(instance, rng2), 1));
+  // The strategy the metrics above describe; re-solving could differ
+  // (IDDE-IP stops on a wall-clock budget).
+  write_file(out, core::strategy_to_string(*strategy, 1));
   std::printf("wrote %s\n", out.c_str());
 
   if (obs::enabled()) {
@@ -263,7 +261,6 @@ int cmd_serve(int argc, const char* const* argv) {
   std::size_t users = 60;
   std::size_t data = 4;
   std::size_t flash_tick = 0;
-  std::size_t threads = 1;
   std::string restore_path;
   std::string checkpoint_path;
   std::string report_path;
@@ -277,7 +274,6 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_size("data", &data, "data item count");
   cli.add_size("flash-tick", &flash_tick,
                "inject a mass failure (40% of servers) at this tick (0 = off)");
-  cli.add_size("threads", &threads, "repair solver threads");
   cli.add_string("restore", &restore_path,
                  "resume from this checkpoint (must match config + seed)");
   cli.add_string("checkpoint", &checkpoint_path,
@@ -301,7 +297,6 @@ int cmd_serve(int argc, const char* const* argv) {
   config.faults.server_mtbf_s = 200.0;
   config.faults.server_mttr_s = 10.0;
   config.sigma_refresh_period_ticks = 20;
-  config.solver_threads = threads;
   if (flash_tick > 0) {
     config.faults.server_mtbf_s = 0.0;
     config.flash_failure_tick = flash_tick;

@@ -68,10 +68,25 @@ run 1 replay --instance "$WORK/garbage.json" && expect_error_line
 
 cd "$WORK" || exit 1
 run 0 gen --out "$WORK/instance.json" --seed 3 || true
-run 0 solve --instance "$WORK/instance.json" --approach IDDE-G \
-  --out "$WORK/strategy.json" --seed 3 || true
-run 0 eval --instance "$WORK/instance.json" --strategy "$WORK/strategy.json" \
-  || true
+# The written strategy is the one whose metrics solve printed: eval of the
+# file must reproduce them. IDDE-IP stops on a wall-clock budget, so a
+# second solve could land elsewhere; the tight budget makes that likely.
+metrics_of() {
+  grep -o 'R_avg [0-9.]* MB/s, L_avg [0-9.]* ms' "$WORK/stdout"
+}
+for approach in IDDE-IP IDDE-G; do
+  run 0 solve --instance "$WORK/instance.json" --approach "$approach" \
+    --ip-budget-ms 2 --out "$WORK/strategy.json" --seed 3 || continue
+  solved=$(metrics_of)
+  run 0 eval --instance "$WORK/instance.json" \
+    --strategy "$WORK/strategy.json" || continue
+  evaluated=$(metrics_of)
+  if [ -z "$solved" ] || [ "$solved" != "$evaluated" ]; then
+    echo "FAIL: $approach wrote a strategy that evaluates to '$evaluated'," \
+      "but solve reported '$solved'" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
 run 0 replay --instance "$WORK/instance.json" \
   --strategy "$WORK/strategy.json" --load 4 --policy deadline-aware \
   --chaos --seed 3 --out "$WORK/report.json" || true
